@@ -185,8 +185,7 @@ banner(const std::string& id, const std::string& what)
 {
     std::cout << "\n################################################\n"
               << "# " << id << ": " << what << "\n"
-              << "# (modeled H100/Sapphire-Rapids platforms; see\n"
-              << "#  DESIGN.md for the substitution methodology)\n"
+              << "# (modeled H100/Sapphire-Rapids platforms)\n"
               << "################################################\n\n";
 }
 

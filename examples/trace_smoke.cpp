@@ -7,7 +7,7 @@
  * checkpoints all enabled, writing the two obs artifacts to the paths
  * given on the command line; tools/obs/validate_trace.py then checks
  * them against the schema. The configuration is chosen to exercise
- * every span site: remesh, load-balance migration, fused boundary
+ * every span site: remesh, load-balance migration, coalesced boundary
  * exchange, rendezvous collectives, and the async checkpoint drain.
  *
  * --overhead mode is the release-bench guard for the "near-zero cost

@@ -18,8 +18,8 @@
  *
  * Message format: the payload is a flat array of doubles; entry e of
  * messageFor(phase, src, dst) occupies [offset, offset + count) and
- * carries exactly the doubles the per-face path would have sent on
- * entry e's channel, in the per-face pack order. Entries are sorted by
+ * carries entry e's channel payload in that channel's pack order
+ * (GhostExchange's per-channel row kernels). Entries are sorted by
  * the cache's canonical channel key (not the cache's possibly
  * shuffled storage order), so independently built sender and receiver
  * replicas agree on the directory byte for byte. Rank pairs with no
@@ -83,7 +83,7 @@ struct PlanMessage
     ChannelId id;
     /** Total payload doubles (sum of entry counts). */
     std::size_t doubles = 0;
-    /** Modeled wire bytes — equals the sum over the per-face path. */
+    /** Modeled wire bytes (the entries' payload doubles x 8). */
     double bytes = 0;
     /** Wire cells (Bounds) or faces (Flux) carried, for accounting. */
     std::int64_t wireUnits = 0;

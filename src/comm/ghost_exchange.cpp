@@ -56,20 +56,25 @@ GhostExchange::exchangeBounds()
     // In-cycle exchanges run as task graphs and get per-task spans.
     TraceSpan span("ExchangeBounds", TraceCat::Comm,
                    mesh_->collectiveRank());
-    if (fused()) {
-        // Monolithic callers (driver initialization, direct tests) are
-        // serial points, so the lazy rebuild may happen right here.
-        plan_.ensureBuilt();
-        startReceiveBoundBufsFused();
-        sendBoundBufsFused();
-        receiveBoundBufsFused();
-        setBoundsFused();
-        return;
-    }
+    // Monolithic callers are serial points, so the lazy plan rebuild
+    // may happen right here.
+    plan_.ensureBuilt();
     startReceiveBoundBufs();
     sendBoundBufs();
     receiveBoundBufs();
     setBounds();
+}
+
+void
+GhostExchange::exchangeFluxCorrections()
+{
+    TraceSpan span("ExchangeFluxCorrections", TraceCat::Comm,
+                   mesh_->collectiveRank());
+    // Serial point for monolithic callers; see exchangeBounds().
+    plan_.ensureBuilt();
+    sendFluxCorrections();
+    receiveFluxCorrections();
+    setFluxCorrections();
 }
 
 void
@@ -80,15 +85,10 @@ GhostExchange::discardStaleDeliveries()
     // rank drivers this sweep would be wrong: a neighbor rank may
     // legitimately run up to one stage ahead, and its early sends
     // queue in FIFO order until this rank's matching receive — exactly
-    // MPI's eager-message semantics. The aborted cycle may have run
-    // either boundary path, so both message formats are swept: every
-    // per-face channel id, and every rank pair's coalesced ids
-    // (constructed directly — the plan may be stale or unbuilt here).
+    // MPI's eager-message semantics. Every rank pair's coalesced ids
+    // are swept, constructed directly: the plan may be stale or
+    // unbuilt here.
     std::size_t stale = 0;
-    for (const auto& ch : cache_->bounds())
-        stale += world_->discardPending(ch.id);
-    for (const auto& ch : cache_->flux())
-        stale += world_->discardPending(ch.id);
     const int nranks = world_->nranks();
     for (int src = 0; src < nranks; ++src)
         for (int dst = 0; dst < nranks; ++dst) {
@@ -100,84 +100,6 @@ GhostExchange::discardStaleDeliveries()
     if (stale > 0)
         warn("ghost exchange discarded ", stale,
              " stale buffers left by an aborted cycle");
-}
-
-void
-GhostExchange::startReceiveBoundBufs()
-{
-    // Per-cycle state reset lives here, at the top of the cycle, so an
-    // exchange that threw mid-cycle cannot leak wire counts, pending
-    // receives, or stale mailbox deliveries into the next one.
-    last_wire_cells_.store(0);
-    last_messages_.store(0);
-    last_send_bytes_.store(0);
-    if (!world_->concurrent())
-        discardStaleDeliveries();
-    const std::size_t expected =
-        mesh_->sharded()
-            ? cache_->recvChannelCountFor(mesh_->shardRank())
-            : cache_->bounds().size();
-    pending_receives_.store(expected);
-    // Buffer preparation is pure serial host work: one item per
-    // expected buffer.
-    recordSerialAt(mesh_->ctx(), "StartReceiveBoundBufs",
-                   mesh_->collectiveRank(), "recv_buf_prepare",
-                   static_cast<double>(expected));
-}
-
-void
-GhostExchange::sendBoundBufs()
-{
-    // Iterate senders in block order so kernel launches batch per block
-    // as Parthenon's packing kernels do. A sharded replica sends only
-    // from its owned shard; peers send their own.
-    for (MeshBlock* block : mesh_->ownedBlocks())
-        sendBlockBounds(*block);
-}
-
-void
-GhostExchange::sendBlockBounds(const MeshBlock& block)
-{
-    const ExecContext& ctx = mesh_->ctx();
-    const auto& channels = cache_->sendIndex(block.gid());
-    if (channels.empty())
-        return;
-    double packed_values = 0;
-    double innermost = 0;
-    std::int64_t wire_cells = 0;
-    for (int idx : channels) {
-        const BoundsChannel& ch = cache_->bounds()[idx];
-        packAndSend(ch);
-        packed_values += static_cast<double>(ch.wireCells()) *
-                         mesh_->registry().ncompConserved();
-        innermost +=
-            rangeCount(ch.levelDiff == 1 ? ch.recv : ch.send, 0);
-        wire_cells += ch.wireCells();
-    }
-    last_wire_cells_.fetch_add(wire_cells);
-    // One batched pack kernel per block: copies + (for fine->coarse)
-    // the restriction arithmetic, both GPU-offloaded (§II-D).
-    recordKernelAt(ctx, "SendBoundBufs", block.rank(), "SendBoundBufs",
-                   packed_values, {1.0, 2.0 * sizeof(double)},
-                   innermost / static_cast<double>(channels.size()));
-    // Per-buffer metadata management is serial host work.
-    recordSerialAt(ctx, "SendBoundBufs", block.rank(),
-                   "bound_buf_metadata",
-                   static_cast<double>(channels.size()));
-}
-
-std::size_t
-GhostExchange::boundsPayloadCount(const BoundsChannel& ch) const
-{
-    return static_cast<std::size_t>(ch.wireCells()) *
-           mesh_->registry().ncompConserved();
-}
-
-std::size_t
-GhostExchange::fluxPayloadCount(const FluxChannel& ch) const
-{
-    return static_cast<std::size_t>(ch.wireFaces()) *
-           mesh_->registry().ncompConserved();
 }
 
 void
@@ -233,161 +155,11 @@ GhostExchange::packBoundsChannel(const BoundsChannel& ch,
 }
 
 void
-GhostExchange::countSend(double bytes)
+GhostExchange::countSend(const PlanMessage& msg)
 {
     last_messages_.fetch_add(1);
-    last_send_bytes_.fetch_add(static_cast<std::int64_t>(bytes));
-}
-
-void
-GhostExchange::packAndSend(const BoundsChannel& ch)
-{
-    const ExecContext& ctx = mesh_->ctx();
-    const double bytes =
-        static_cast<double>(boundsPayloadCount(ch)) * sizeof(double);
-
-    std::vector<double> payload;
-    if (ctx.executing()) {
-        payload.resize(boundsPayloadCount(ch));
-        packBoundsChannel(ch, payload.data());
-    }
-    const bool remote = ch.sender->rank() != ch.receiver->rank();
-    recordSerialAt(ctx, "SendBoundBufs", ch.sender->rank(),
-                   remote ? "msg_remote" : "msg_local", 1.0);
-    recordSerialAt(ctx, "SendBoundBufs", ch.sender->rank(),
-                   remote ? "msg_remote_bytes" : "msg_local_bytes",
-                   bytes);
-    countSend(bytes);
-    world_->isend(ch.id, ch.sender->rank(), ch.receiver->rank(),
-                  std::move(payload), bytes);
-}
-
-void
-GhostExchange::receiveBoundBufs()
-{
-    if (mesh_->sharded()) {
-        // Sharded replica: only this rank's inbound channels are ours
-        // to consume, and remote senders run on their own threads, so
-        // poll until every expected buffer arrived (the real code's
-        // Iprobe progress loop) instead of asserting instant delivery.
-        const int rank = mesh_->shardRank();
-        // vibe-lint: allow(obs-isolation) peer-wait deadline bounding
-        // the Iprobe progress loop, not timing instrumentation.
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration<double>(kPeerWaitSeconds);
-        std::size_t expected = 0;
-        for (const auto& ch : cache_->bounds()) {
-            if (ch.receiver->rank() != rank)
-                continue;
-            ++expected;
-            while (!world_->iprobe(ch.id)) {
-                require(!world_->failed(),
-                        "ghost exchange aborted: a peer rank failed");
-                require(std::chrono::steady_clock::now() < deadline,
-                        "ghost exchange timed out waiting for buffer "
-                        "into ",
-                        ch.receiver->loc().str(), " on rank ", rank);
-                std::this_thread::yield();
-            }
-        }
-        recordSerialAt(mesh_->ctx(), "ReceiveBoundBufs", rank,
-                       "recv_poll", static_cast<double>(expected));
-        return;
-    }
-    // Poll until every expected buffer is present, as the real code
-    // nudges MPI progress with Iprobe. In the simulated world delivery
-    // is immediate, so one probe per channel suffices; the counters
-    // still capture the per-buffer polling cost.
-    std::uint64_t outstanding = 0;
-    for (const auto& ch : cache_->bounds())
-        if (!world_->iprobe(ch.id))
-            ++outstanding;
-    require(outstanding == 0,
-            "ghost exchange lost messages: ", outstanding,
-            " buffers missing");
-    recordSerialAt(mesh_->ctx(), "ReceiveBoundBufs", 0, "recv_poll",
-                   static_cast<double>(cache_->bounds().size()));
-}
-
-bool
-GhostExchange::pollBlockBounds(const MeshBlock& block)
-{
-    const auto& channels = cache_->recvIndex(block.gid());
-    for (int idx : channels)
-        if (!world_->iprobe(cache_->bounds()[idx].id))
-            return false;
-    // Record the polling cost once, when the block's buffers are all
-    // present; per-block totals sum to the monolithic recv_poll count.
-    if (!channels.empty())
-        recordSerialAt(mesh_->ctx(), "ReceiveBoundBufs", block.rank(),
-                       "recv_poll",
-                       static_cast<double>(channels.size()));
-    return true;
-}
-
-void
-GhostExchange::setBounds()
-{
-    for (MeshBlock* block : mesh_->ownedBlocks())
-        setBlockBounds(*block);
-}
-
-void
-GhostExchange::setBlockBounds(MeshBlock& block)
-{
-    const ExecContext& ctx = mesh_->ctx();
-    const auto& channels = cache_->recvIndex(block.gid());
-    if (channels.empty())
-        return;
-    double written_values = 0;
-    double innermost = 0;
-    for (int idx : channels) {
-        const BoundsChannel& ch = cache_->bounds()[idx];
-        auto msg = world_->receive(ch.id);
-        require(msg.has_value(), "missing buffer for channel into ",
-                ch.receiver->loc().str());
-        // No direct cross-rank memory access on the step path: when the
-        // sending block's owner is another rank, the data MUST have
-        // traveled through the mailbox (real payload in numeric mode),
-        // and on a sharded replica the sender is a storage-less Shadow,
-        // making a direct read structurally impossible.
-        require(msg->src == ch.sender->rank() &&
-                    msg->dst == block.rank(),
-                "bounds message rank mismatch: channel ",
-                ch.sender->loc().str(), " -> ", ch.receiver->loc().str(),
-                " carried ", msg->src, " -> ", msg->dst, ", expected ",
-                ch.sender->rank(), " -> ", block.rank());
-        require(ch.sender->rank() == block.rank() ||
-                    !mesh_->ctx().executing() || !msg->payload.empty(),
-                "cross-rank unpack into ", block.loc().str(),
-                " without a mailbox payload");
-        require(!mesh_->sharded() ||
-                    ch.sender->rank() == mesh_->shardRank() ||
-                    !ch.sender->hasData(),
-                "non-owned sender ", ch.sender->loc().str(),
-                " holds data on rank ", mesh_->shardRank());
-        unpack(ch, *msg);
-        written_values += static_cast<double>(ch.recv.cells()) *
-                          mesh_->registry().ncompConserved();
-        innermost += ch.recv.i.count();
-    }
-    // One batched unpack kernel per block; prolongation of coarse
-    // slabs happens inside (GPU-offloaded).
-    recordKernelAt(ctx, "SetBounds", block.rank(), "SetBounds",
-                   written_values, {1.0, 2.0 * sizeof(double)},
-                   innermost / static_cast<double>(channels.size()));
-    recordSerialAt(ctx, "SetBounds", block.rank(), "bound_buf_metadata",
-                   static_cast<double>(channels.size()));
-    pending_receives_.fetch_sub(channels.size());
-}
-
-void
-GhostExchange::unpack(const BoundsChannel& ch, const Message& msg)
-{
-    if (!mesh_->ctx().executing())
-        return;
-    unpackBoundsChannel(ch, msg.payload.data(), msg.payload.size());
+    last_entries_.fetch_add(msg.entries.size());
+    last_send_bytes_.fetch_add(static_cast<std::int64_t>(msg.bytes));
 }
 
 void
@@ -507,65 +279,6 @@ GhostExchange::unpackBoundsChannel(const BoundsChannel& ch,
 }
 
 void
-GhostExchange::exchangeFluxCorrections()
-{
-    TraceSpan span("ExchangeFluxCorrections", TraceCat::Comm,
-                   mesh_->collectiveRank());
-    if (fused()) {
-        // Serial point for monolithic callers; see exchangeBounds().
-        plan_.ensureBuilt();
-        sendFluxCorrectionsFused();
-        receiveFluxCorrectionsFused();
-        setFluxCorrectionsFused();
-        return;
-    }
-    for (MeshBlock* block : mesh_->ownedBlocks())
-        sendBlockFluxCorrections(*block);
-    for (MeshBlock* block : mesh_->ownedBlocks())
-        setBlockFluxCorrections(*block);
-}
-
-void
-GhostExchange::sendBlockFluxCorrections(const MeshBlock& block)
-{
-    const auto& channels = cache_->fluxSendIndex(block.gid());
-    if (channels.empty())
-        return;
-    for (int idx : channels)
-        packAndSendFlux(cache_->flux()[idx]);
-    recordSerialAt(mesh_->ctx(), "SendBoundBufs", block.rank(),
-                   "bound_buf_metadata",
-                   static_cast<double>(channels.size()));
-}
-
-bool
-GhostExchange::pollBlockFluxCorrections(const MeshBlock& block)
-{
-    for (int idx : cache_->fluxRecvIndex(block.gid()))
-        if (!world_->iprobe(cache_->flux()[idx].id))
-            return false;
-    return true;
-}
-
-void
-GhostExchange::setBlockFluxCorrections(MeshBlock& block)
-{
-    for (int idx : cache_->fluxRecvIndex(block.gid())) {
-        const FluxChannel& ch = cache_->flux()[idx];
-        auto msg = world_->receive(ch.id);
-        require(msg.has_value(), "missing flux-correction buffer");
-        require(msg->src == ch.sender->rank() &&
-                    msg->dst == block.rank(),
-                "flux message rank mismatch into ", block.loc().str());
-        require(ch.sender->rank() == block.rank() ||
-                    !mesh_->ctx().executing() || !msg->payload.empty(),
-                "cross-rank flux unpack into ", block.loc().str(),
-                " without a mailbox payload");
-        unpackFlux(ch, *msg);
-    }
-}
-
-void
 GhostExchange::packFluxChannel(const FluxChannel& ch, double* out) const
 {
     require(ch.sender->hasData(), "flux pack from a storage-less block ",
@@ -610,36 +323,6 @@ GhostExchange::packFluxChannel(const FluxChannel& ch, double* out) const
 }
 
 void
-GhostExchange::packAndSendFlux(const FluxChannel& ch)
-{
-    const ExecContext& ctx = mesh_->ctx();
-    const int ncomp = mesh_->registry().ncompConserved();
-    const double faces = static_cast<double>(ch.wireFaces());
-    const double bytes = faces * ncomp * sizeof(double);
-
-    std::vector<double> payload;
-    if (ctx.executing()) {
-        payload.resize(fluxPayloadCount(ch));
-        packFluxChannel(ch, payload.data());
-    }
-    // Restriction arithmetic is GPU work inside the pack kernel; the
-    // launch is accounted identically in counting mode.
-    recordKernelAt(ctx, "SendBoundBufs", ch.sender->rank(),
-                   "SendBoundBufs", faces * ncomp,
-                   {1.0, 2.0 * sizeof(double)},
-                   static_cast<double>(ch.recvFaces.i.count()));
-    const bool remote = ch.sender->rank() != ch.receiver->rank();
-    recordSerialAt(ctx, "SendBoundBufs", ch.sender->rank(),
-                   remote ? "msg_remote" : "msg_local", 1.0);
-    recordSerialAt(ctx, "SendBoundBufs", ch.sender->rank(),
-                   remote ? "msg_remote_bytes" : "msg_local_bytes",
-                   bytes);
-    countSend(bytes);
-    world_->isend(ch.id, ch.sender->rank(), ch.receiver->rank(),
-                  std::move(payload), bytes);
-}
-
-void
 GhostExchange::unpackFluxChannel(const FluxChannel& ch,
                                  const double* payload,
                                  std::size_t count) const
@@ -657,20 +340,6 @@ GhostExchange::unpackFluxChannel(const FluxChannel& ch,
                 for (int I = ch.recvFaces.i.lo; I <= ch.recvFaces.i.hi;
                      ++I)
                     flux(n, K, J, I) = payload[idx++];
-}
-
-void
-GhostExchange::unpackFlux(const FluxChannel& ch, const Message& msg)
-{
-    const ExecContext& ctx = mesh_->ctx();
-    const int ncomp = mesh_->registry().ncompConserved();
-    recordKernelAt(ctx, "SetBounds", ch.receiver->rank(), "SetBounds",
-                   static_cast<double>(ch.wireFaces()) * ncomp,
-                   {0.0, 2.0 * sizeof(double)},
-                   static_cast<double>(ch.recvFaces.i.count()));
-    if (!ctx.executing())
-        return;
-    unpackFluxChannel(ch, msg.payload.data(), msg.payload.size());
 }
 
 void
@@ -731,22 +400,14 @@ GhostExchange::applyPhysicalBoundariesBlock(MeshBlock& block)
         clamp_fill(ke + 1, nk - 1, 0, nj - 1, 0, ni - 1);
 }
 
-// ---------------------------------------------------------------------
-// Fused BoundaryPlan path (<exec> fused_boundaries).
-//
-// Every function below requires a current plan: the driver's graph
-// builders (and the monolithic exchange entry points) call
-// plan_.ensureBuilt() at a serial point first, and the accessors
-// themselves panic on a stale generation. ensureBuilt() is NEVER
-// called from in here — a rebuild racing a fused launch would be a
-// data race on the plan tables.
-// ---------------------------------------------------------------------
+// The phase functions below read the plan tables lock-free: they require
+// a current plan and never call plan_.ensureBuilt() themselves — a
+// rebuild racing a pack launch would be a data race on the tables. The
+// accessors panic on a stale generation.
 
 std::vector<int>
-GhostExchange::fusedSendIds(PlanPhase phase) const
+GhostExchange::allMessageIds(PlanPhase phase) const
 {
-    if (mesh_->sharded())
-        return plan_.sendIds(phase, mesh_->shardRank());
     // A classic mesh steps every block, so it plays all ranks' parts.
     std::vector<int> ids(plan_.messages(phase).size());
     for (std::size_t m = 0; m < ids.size(); ++m)
@@ -755,27 +416,32 @@ GhostExchange::fusedSendIds(PlanPhase phase) const
 }
 
 std::vector<int>
-GhostExchange::fusedRecvIds(PlanPhase phase) const
+GhostExchange::sendIds(PlanPhase phase) const
 {
-    if (mesh_->sharded())
-        return plan_.recvIds(phase, mesh_->shardRank());
-    std::vector<int> ids(plan_.messages(phase).size());
-    for (std::size_t m = 0; m < ids.size(); ++m)
-        ids[m] = static_cast<int>(m);
-    return ids;
+    return mesh_->sharded() ? plan_.sendIds(phase, mesh_->shardRank())
+                            : allMessageIds(phase);
+}
+
+std::vector<int>
+GhostExchange::recvIds(PlanPhase phase) const
+{
+    return mesh_->sharded() ? plan_.recvIds(phase, mesh_->shardRank())
+                            : allMessageIds(phase);
 }
 
 void
-GhostExchange::startReceiveBoundBufsFused()
+GhostExchange::startReceiveBoundBufs()
 {
-    // Same per-cycle reset contract as startReceiveBoundBufs().
+    // Per-cycle state reset lives here, at the top of the cycle, so an
+    // exchange that threw mid-cycle cannot leak wire counts, message
+    // counts, or stale mailbox deliveries into the next one.
     last_wire_cells_.store(0);
     last_messages_.store(0);
+    last_entries_.store(0);
     last_send_bytes_.store(0);
     if (!world_->concurrent())
         discardStaleDeliveries();
-    const std::vector<int> inbound = fusedRecvIds(PlanPhase::Bounds);
-    pending_receives_.store(inbound.size());
+    const std::vector<int> inbound = recvIds(PlanPhase::Bounds);
     // One coalesced buffer to prepare per inbound rank pair — this is
     // the point of the plan: O(ranks) bookkeeping, not O(faces).
     recordSerialAt(mesh_->ctx(), "StartReceiveBoundBufs",
@@ -784,12 +450,12 @@ GhostExchange::startReceiveBoundBufsFused()
 }
 
 void
-GhostExchange::sendFusedPhase(PlanPhase phase)
+GhostExchange::sendPhase(PlanPhase phase)
 {
     const ExecContext& ctx = mesh_->ctx();
     const bool bounds = phase == PlanPhase::Bounds;
     const auto& msgs = plan_.messages(phase);
-    const std::vector<int> ids = fusedSendIds(phase);
+    const std::vector<int> ids = sendIds(phase);
     if (ids.empty())
         return;
 
@@ -831,8 +497,8 @@ GhostExchange::sendFusedPhase(PlanPhase phase)
         }
     }
 
-    // ONE fused launch packs (and restricts) every outbound channel of
-    // the phase — the per-face path pays one launch per block.
+    // ONE launch packs (and restricts) every outbound channel of the
+    // phase.
     parForExecRows(
         ctx, 0, static_cast<int>(rows.size()) - 1, 0, 0,
         [&](int, int row, int) {
@@ -861,44 +527,44 @@ GhostExchange::sendFusedPhase(PlanPhase phase)
                        static_cast<double>(m.entries.size()));
         if (bounds)
             last_wire_cells_.fetch_add(m.wireUnits);
-        countSend(m.bytes);
+        countSend(m);
         world_->isend(m.id, m.src, m.dst, std::move(payloads[s]),
                       m.bytes);
     }
 }
 
 void
-GhostExchange::sendBoundBufsFused()
+GhostExchange::sendBoundBufs()
 {
-    sendFusedPhase(PlanPhase::Bounds);
+    sendPhase(PlanPhase::Bounds);
 }
 
 void
-GhostExchange::sendFluxCorrectionsFused()
+GhostExchange::sendFluxCorrections()
 {
-    sendFusedPhase(PlanPhase::Flux);
+    sendPhase(PlanPhase::Flux);
 }
 
 bool
-GhostExchange::pollFusedMessage(const PlanMessage& msg)
+GhostExchange::pollMessage(const PlanMessage& msg)
 {
     if (!world_->iprobe(msg.id))
         return false;
-    // One probe per rank pair, recorded on completion like the
-    // per-block poll tasks.
+    // One probe per rank pair, recorded once, on completion.
     recordSerialAt(mesh_->ctx(), "ReceiveBoundBufs", msg.dst,
                    "recv_poll", 1.0);
     return true;
 }
 
 void
-GhostExchange::receiveFusedPhase(PlanPhase phase)
+GhostExchange::receivePhase(PlanPhase phase)
 {
     const auto& msgs = plan_.messages(phase);
-    const std::vector<int> ids = fusedRecvIds(phase);
+    const std::vector<int> ids = recvIds(phase);
     if (mesh_->sharded()) {
-        // Concurrent peers: poll with a deadline, as the per-face
-        // sharded receive loop does.
+        // Remote senders run on their own threads: poll until every
+        // expected message arrived (the real code's Iprobe progress
+        // loop), bounded by a deadline.
         // vibe-lint: allow(obs-isolation) peer-wait deadline bounding
         // the Iprobe progress loop, not timing instrumentation.
         const auto deadline =
@@ -908,10 +574,9 @@ GhostExchange::receiveFusedPhase(PlanPhase phase)
             const PlanMessage& m = msgs[static_cast<std::size_t>(id)];
             while (!world_->iprobe(m.id)) {
                 require(!world_->failed(),
-                        "fused ghost exchange aborted: a peer rank "
-                        "failed");
+                        "ghost exchange aborted: a peer rank failed");
                 require(std::chrono::steady_clock::now() < deadline,
-                        "fused ghost exchange timed out waiting for "
+                        "ghost exchange timed out waiting for "
                         "the coalesced ",
                         planPhaseName(phase), " message from rank ",
                         m.src, " on rank ", m.dst);
@@ -922,7 +587,7 @@ GhostExchange::receiveFusedPhase(PlanPhase phase)
         for (int id : ids)
             require(world_->iprobe(
                         msgs[static_cast<std::size_t>(id)].id),
-                    "fused ghost exchange lost a coalesced ",
+                    "ghost exchange lost a coalesced ",
                     planPhaseName(phase), " message");
     }
     recordSerialAt(mesh_->ctx(), "ReceiveBoundBufs",
@@ -931,25 +596,25 @@ GhostExchange::receiveFusedPhase(PlanPhase phase)
 }
 
 void
-GhostExchange::receiveBoundBufsFused()
+GhostExchange::receiveBoundBufs()
 {
-    receiveFusedPhase(PlanPhase::Bounds);
+    receivePhase(PlanPhase::Bounds);
 }
 
 void
-GhostExchange::receiveFluxCorrectionsFused()
+GhostExchange::receiveFluxCorrections()
 {
-    receiveFusedPhase(PlanPhase::Flux);
+    receivePhase(PlanPhase::Flux);
 }
 
 void
-GhostExchange::setFusedPhase(PlanPhase phase)
+GhostExchange::setPhase(PlanPhase phase)
 {
     const ExecContext& ctx = mesh_->ctx();
     const bool bounds = phase == PlanPhase::Bounds;
     const int ncomp = mesh_->registry().ncompConserved();
     const auto& msgs = plan_.messages(phase);
-    const std::vector<int> ids = fusedRecvIds(phase);
+    const std::vector<int> ids = recvIds(phase);
     if (ids.empty())
         return;
 
@@ -1003,7 +668,7 @@ GhostExchange::setFusedPhase(PlanPhase phase)
         }
     }
 
-    // ONE fused launch unpacks (and prolongates) every inbound entry.
+    // ONE launch unpacks (and prolongates) every inbound entry.
     // Each entry writes only its receiver's ghost region (or its own
     // flux faces), and prolongation's interior fallback reads cells no
     // unpack writes, so rows are independent.
@@ -1033,20 +698,19 @@ GhostExchange::setFusedPhase(PlanPhase phase)
                            "bound_buf_metadata",
                            static_cast<double>(m.entries.size()));
         }
-        pending_receives_.fetch_sub(ids.size());
     }
 }
 
 void
-GhostExchange::setBoundsFused()
+GhostExchange::setBounds()
 {
-    setFusedPhase(PlanPhase::Bounds);
+    setPhase(PlanPhase::Bounds);
 }
 
 void
-GhostExchange::setFluxCorrectionsFused()
+GhostExchange::setFluxCorrections()
 {
-    setFusedPhase(PlanPhase::Flux);
+    setPhase(PlanPhase::Flux);
 }
 
 } // namespace vibe

@@ -16,37 +16,27 @@
  * (§II-C), replacing the coarse face flux with the restricted sum of
  * the fine fluxes so conservation holds across levels.
  *
- * Each phase is available in two granularities:
+ * Every phase runs over the BoundaryPlan: all pack (or unpack) work
+ * for a phase is ONE launch over the plan's buffer table, and all
+ * traffic per (src rank, dst rank) pair per phase travels as ONE
+ * coalesced mailbox message (Parthenon's one-buffer exchange). The
+ * per-channel pack/unpack arithmetic (packBoundsChannel and friends)
+ * is the row kernel of those launches. Rows are independent — every
+ * channel writes a disjoint payload slice or receiver region, and
+ * prolongation's interior fallback reads cells no unpack writes — so
+ * results are bitwise identical at any thread or rank count.
  *
- * - The monolithic phase functions (exchangeBounds() and friends) run
- *   a whole phase over every block, as the seed did. They are used by
- *   driver initialization and by direct tests.
- * - The per-block task factories (sendBlockBounds, pollBlockBounds,
- *   setBlockBounds, and the flux-correction trio) are the graph nodes
- *   the task-graph driver schedules, so boundary polling interleaves
- *   with interior compute (§II-C). They are safe to run concurrently
- *   for distinct blocks: every send reads only the sender's interior,
- *   every unpack writes only the receiver's ghosts (or its own flux
- *   faces), and all profiler records carry explicit phase/rank
- *   attribution instead of touching shared ambient state.
+ * The phases are callable one by one (the driver's task graphs and
+ * direct tests) or as one monolithic exchange (exchangeBounds(),
+ * exchangeFluxCorrections(): driver initialization and tests). The
+ * plan must be current (BoundaryPlan::ensureBuilt() at a serial point
+ * — the driver's graph builders and the monolithic entry points do
+ * this) before any phase function runs.
  *
- * Per-cycle state (pending-receive count, wire-cell counter, stale
- * mailbox entries from a cycle that threw) is reset at the top of
+ * Per-cycle state (wire-cell and message counters, stale mailbox
+ * entries from a cycle that threw) is reset at the top of
  * startReceiveBoundBufs(), so an exchange aborted mid-cycle can never
  * leave the next one waiting on phantom messages.
- *
- * A third granularity sits on top of both (<exec> fused_boundaries,
- * default on): the BoundaryPlan path. All pack (or unpack) work for a
- * phase runs as ONE fused launch over the plan's buffer table, and all
- * traffic per (src rank, dst rank) pair per phase travels as ONE
- * coalesced mailbox message. The per-channel pack/unpack arithmetic is
- * shared verbatim with the per-face path (packBoundsChannel and
- * friends), every channel writes a disjoint payload slice or receiver
- * region, and prolongation's interior fallback reads cells no unpack
- * writes — so the fused path is bitwise identical to the per-face path
- * at any thread or rank count. The plan must be current
- * (BoundaryPlan::ensureBuilt() at a serial point — the driver's graph
- * builders do this) before any fused phase function runs.
  */
 #pragma once
 
@@ -67,40 +57,17 @@ class GhostExchange
     GhostExchange(Mesh& mesh, RankWorld& world,
                   BoundaryBufferCache& cache);
 
-    /** Run one complete ghost exchange (the four phases, in order). */
-    void exchangeBounds();
-
-    void startReceiveBoundBufs();
-    void sendBoundBufs();
-    void receiveBoundBufs();
-    void setBounds();
-
-    // --- Per-block task factories (bounds cycle) ---
-
-    /** Pack and isend every channel whose sender is `block`. */
-    void sendBlockBounds(const MeshBlock& block);
     /**
-     * Probe the channels into `block`; true when every expected buffer
-     * is present (polling cost recorded once, on completion).
+     * Run one complete ghost exchange (the four phases, in order).
+     * A serial point: rebuilds the plan first if it is stale.
      */
-    bool pollBlockBounds(const MeshBlock& block);
-    /** Receive and unpack every channel into `block`. */
-    void setBlockBounds(MeshBlock& block);
+    void exchangeBounds();
 
     /**
      * Run one flux-correction exchange. Must be called after fluxes are
      * computed and before FluxDivergence consumes them.
      */
     void exchangeFluxCorrections();
-
-    // --- Per-block task factories (flux-correction cycle) ---
-
-    /** Restrict-pack and isend the corrections `block` sends. */
-    void sendBlockFluxCorrections(const MeshBlock& block);
-    /** Probe the flux channels into `block`; true when all present. */
-    bool pollBlockFluxCorrections(const MeshBlock& block);
-    /** Receive and apply the corrections destined for `block`. */
-    void setBlockFluxCorrections(MeshBlock& block);
 
     /**
      * Fill ghost zones at non-periodic physical boundaries with
@@ -109,11 +76,6 @@ class GhostExchange
     void applyPhysicalBoundaries();
     /** Physical-boundary fill for one block (task-graph node). */
     void applyPhysicalBoundariesBlock(MeshBlock& block);
-
-    // --- Fused BoundaryPlan path (<exec> fused_boundaries) -----------
-
-    /** True when this run routes boundaries through the plan. */
-    bool fused() const { return mesh_->config().fusedBoundaries; }
 
     /** The plan (lazily rebuilt; see BoundaryPlan's lifecycle). */
     BoundaryPlan& plan() { return plan_; }
@@ -124,38 +86,42 @@ class GhostExchange
      * the shard rank's pairs on a sharded replica, every pair on a
      * classic mesh (which steps all blocks). Plan must be current.
      */
-    std::vector<int> fusedSendIds(PlanPhase phase) const;
-    std::vector<int> fusedRecvIds(PlanPhase phase) const;
+    std::vector<int> sendIds(PlanPhase phase) const;
+    std::vector<int> recvIds(PlanPhase phase) const;
 
-    /** Fused counterpart of startReceiveBoundBufs(). */
-    void startReceiveBoundBufsFused();
+    // --- Bounds phases -----------------------------------------------
+
+    /** Reset per-cycle state; account the inbound buffers to prepare. */
+    void startReceiveBoundBufs();
     /** Pack all outbound bounds entries (one launch), send each pair. */
-    void sendBoundBufsFused();
+    void sendBoundBufs();
     /**
      * Probe one coalesced message (task-graph poll node); records the
      * polling cost on success.
      */
-    bool pollFusedMessage(const PlanMessage& msg);
+    bool pollMessage(const PlanMessage& msg);
     /** Blocking poll for every inbound bounds message (monolithic). */
-    void receiveBoundBufsFused();
-    /** Receive + one fused unpack launch over all inbound entries. */
-    void setBoundsFused();
+    void receiveBoundBufs();
+    /** Receive + one unpack launch over all inbound entries. */
+    void setBounds();
+
+    // --- Flux-correction phases --------------------------------------
 
     /** Pack all outbound flux entries (one launch), send each pair. */
-    void sendFluxCorrectionsFused();
+    void sendFluxCorrections();
     /** Blocking poll for every inbound flux message (monolithic). */
-    void receiveFluxCorrectionsFused();
-    /** Receive + one fused unpack launch over the flux entries. */
-    void setFluxCorrectionsFused();
+    void receiveFluxCorrections();
+    /** Receive + one unpack launch over the flux entries. */
+    void setFluxCorrections();
 
     /** Ghost cells moved in the most recent exchange cycle. */
     std::int64_t lastWireCells() const { return last_wire_cells_.load(); }
 
     /**
      * Boundary messages sent / modeled bytes since the last
-     * startReceiveBoundBufs (bounds + flux, both paths). The driver
-     * folds these into CycleStats so benches can report the per-face
-     * vs fused coalescing win per cycle.
+     * startReceiveBoundBufs (bounds + flux). The driver folds these
+     * into CycleStats so benches can report messages and bytes per
+     * cycle.
      */
     std::uint64_t lastBoundaryMessages() const
     {
@@ -165,19 +131,19 @@ class GhostExchange
     {
         return static_cast<double>(last_send_bytes_.load());
     }
+    /**
+     * Plan entries (per-face channels) those messages carried since the
+     * last startReceiveBoundBufs: the message count an uncoalesced
+     * exchange would pay for the same bytes.
+     */
+    std::uint64_t lastBoundaryEntries() const
+    {
+        return last_entries_.load();
+    }
 
   private:
-    void packAndSend(const BoundsChannel& ch);
-    void unpack(const BoundsChannel& ch, const Message& msg);
-    void packAndSendFlux(const FluxChannel& ch);
-    void unpackFlux(const FluxChannel& ch, const Message& msg);
-
-    /** Payload doubles for one bounds / flux channel. */
-    std::size_t boundsPayloadCount(const BoundsChannel& ch) const;
-    std::size_t fluxPayloadCount(const FluxChannel& ch) const;
-
-    // Shared per-channel payload arithmetic: the per-face and fused
-    // paths both call these, so their payloads agree bit for bit.
+    // Per-channel payload arithmetic: the row kernels of the pack and
+    // unpack launches.
     void packBoundsChannel(const BoundsChannel& ch, double* out) const;
     void unpackBoundsChannel(const BoundsChannel& ch,
                              const double* payload,
@@ -186,20 +152,23 @@ class GhostExchange
     void unpackFluxChannel(const FluxChannel& ch, const double* payload,
                            std::size_t count) const;
 
-    /** Shared body of the two fused send phases. */
-    void sendFusedPhase(PlanPhase phase);
-    /** Shared body of the two fused receive-poll phases. */
-    void receiveFusedPhase(PlanPhase phase);
-    /** Shared body of the two fused set phases. */
-    void setFusedPhase(PlanPhase phase);
+    /** Every message index of `phase` (a classic mesh's id list). */
+    std::vector<int> allMessageIds(PlanPhase phase) const;
 
-    /** Account one boundary send against the per-cycle counters. */
-    void countSend(double bytes);
+    /** Shared body of the two send phases. */
+    void sendPhase(PlanPhase phase);
+    /** Shared body of the two blocking receive-poll phases. */
+    void receivePhase(PlanPhase phase);
+    /** Shared body of the two set phases. */
+    void setPhase(PlanPhase phase);
+
+    /** Account one coalesced send against the per-cycle counters. */
+    void countSend(const PlanMessage& msg);
 
     /**
-     * Discard stale mailbox deliveries from an aborted cycle (both
-     * per-face and coalesced formats). Classic worlds only — see the
-     * body for why the sweep is wrong with concurrent rank drivers.
+     * Discard stale coalesced deliveries from an aborted cycle.
+     * Classic worlds only — see the body for why the sweep is wrong
+     * with concurrent rank drivers.
      */
     void discardStaleDeliveries();
 
@@ -208,8 +177,8 @@ class GhostExchange
     BoundaryBufferCache* cache_;
     BoundaryPlan plan_;
     std::atomic<std::int64_t> last_wire_cells_{0};
-    std::atomic<std::uint64_t> pending_receives_{0};
     std::atomic<std::uint64_t> last_messages_{0};
+    std::atomic<std::uint64_t> last_entries_{0};
     /** Modeled bytes are integral (cells x components x 8). */
     std::atomic<std::int64_t> last_send_bytes_{0};
 };

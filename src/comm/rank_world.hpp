@@ -116,8 +116,7 @@ struct Traffic
      * forms; Block migration traffic excluded) and their modeled
      * bytes. Both are subsets of the local/remote totals above — they
      * isolate the ghost-exchange term the BoundaryPlan coalesces, so
-     * benches can report messagesPerCycle / boundaryBytesPerCycle for
-     * the per-face and fused paths side by side.
+     * benches can report messagesPerCycle / boundaryBytesPerCycle.
      */
     std::uint64_t boundaryMessages = 0;
     double boundaryBytes = 0;

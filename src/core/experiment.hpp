@@ -66,13 +66,6 @@ struct ExperimentSpec
      */
     int numRanks = 1;
     /**
-     * Route boundary exchanges through the fused BoundaryPlan path
-     * (the `exec/fused_boundaries` knob, default on). Off selects the
-     * per-face path; results are bitwise identical either way, so the
-     * benches sweep both to isolate the coalescing win.
-     */
-    bool fusedBoundaries = true;
-    /**
      * Per-block cost source for load balancing (the `amr/lb_cost`
      * knob): "" defers to VIBE_LB_COST (default "uniform"); "measured"
      * feeds EMA-smoothed per-block wall clocks into the partitioner.
@@ -183,8 +176,8 @@ struct ExperimentResult
 
     /**
      * Mean boundary messages per cycle over the run (all ranks,
-     * bounds + flux). The fused path coalesces this from
-     * O(faces) to O(adjacent rank pairs) per phase.
+     * bounds + flux). The BoundaryPlan coalesces these to
+     * O(adjacent rank pairs) per phase.
      */
     double messagesPerCycle() const
     {
@@ -197,7 +190,22 @@ struct ExperimentResult
                static_cast<double>(history.size());
     }
 
-    /** Mean modeled boundary bytes per cycle (invariant across paths). */
+    /**
+     * Mean plan entries per cycle: the O(faces) message count the
+     * coalesced messages replace.
+     */
+    double entriesPerCycle() const
+    {
+        if (history.empty())
+            return 0.0;
+        std::uint64_t total = 0;
+        for (const CycleStats& c : history)
+            total += c.boundaryEntries;
+        return static_cast<double>(total) /
+               static_cast<double>(history.size());
+    }
+
+    /** Mean modeled boundary bytes per cycle. */
     double boundaryBytesPerCycle() const
     {
         if (history.empty())

@@ -295,6 +295,7 @@ EvolutionDriver::doCycle()
     const std::int64_t wire_before = comm_cells_;
     const std::int64_t faces_before = comm_faces_;
     const std::uint64_t msgs_before = boundary_messages_;
+    const std::uint64_t entries_before = boundary_entries_;
     const double bytes_before = boundary_bytes_;
 
     step();
@@ -320,6 +321,7 @@ EvolutionDriver::doCycle()
     stats.wireCells = comm_cells_ - wire_before;
     stats.wireFaces = comm_faces_ - faces_before;
     stats.boundaryMessages = boundary_messages_ - msgs_before;
+    stats.boundaryEntries = boundary_entries_ - entries_before;
     stats.boundaryBytes = boundary_bytes_ - bytes_before;
     stats.refined = last_refined_;
     stats.derefined = last_derefined_;
@@ -581,13 +583,12 @@ EvolutionDriver::step()
 
     saveState(*mesh_);
     for (int stage = 1; stage <= 2; ++stage) {
-        TaskList tl = exchange_.fused()
-                          ? buildStageGraphFused(stage, fc)
-                          : buildStageGraph(stage, fc);
+        TaskList tl = buildStageGraph(stage, fc);
         runGraph(tl, stageExecOptions());
 
         comm_cells_ += exchange_.lastWireCells();
         boundary_messages_ += exchange_.lastBoundaryMessages();
+        boundary_entries_ += exchange_.lastBoundaryEntries();
         boundary_bytes_ += exchange_.lastBoundaryBytes();
         if (fc)
             comm_faces_ += mesh_->sharded()
@@ -607,15 +608,14 @@ EvolutionDriver::ensurePack()
 
 /**
  * Fused-pack timestep (paper fig05 small-block regime): ghost exchange
- * and flux correction still run as per-block task graphs — those are
- * genuinely irregular — but every interior phase is ONE hierarchical
- * pack launch over all blocks instead of one launch (or task) per
- * block. The chunked (block x cells) domain keeps all workers loaded
- * even when num_blocks < num_threads or blocks are tiny, and the
- * per-launch pool synchronization is paid once per phase rather than
- * once per block. The tradeoff versus the per-block graph is
- * exchange/compute overlap, which the launch-overhead savings dominate
- * exactly where packing is enabled.
+ * and flux correction run as the same plan task graphs as in step(),
+ * but every interior phase is ONE hierarchical pack launch over all
+ * blocks instead of one task per block. The chunked (block x cells)
+ * domain keeps all workers loaded even when num_blocks < num_threads
+ * or blocks are tiny, and the per-launch pool synchronization is paid
+ * once per phase rather than once per block. The tradeoff versus the
+ * per-block compute chain is exchange/compute overlap, which the
+ * launch-overhead savings dominate exactly where packing is enabled.
  *
  * Fused compute is accounted into the task wall/compute counters so
  * the fig14-style overlap arithmetic stays well-defined in pack mode.
@@ -632,8 +632,7 @@ EvolutionDriver::stepPacked(bool flux_correction)
 
     saveStatePack(*mesh_, pack);
     for (int stage = 1; stage <= 2; ++stage) {
-        TaskList bounds = exchange_.fused() ? buildBoundsGraphFused()
-                                            : buildBoundsGraph();
+        TaskList bounds = buildBoundsGraph();
         runGraph(bounds, options);
 
         const auto t_flux = clock::now();
@@ -643,9 +642,7 @@ EvolutionDriver::stepPacked(bool flux_correction)
                 .count();
 
         if (flux_correction) {
-            TaskList fcorr = exchange_.fused()
-                                 ? buildFluxCorrGraphFused()
-                                 : buildFluxCorrGraph();
+            TaskList fcorr = buildFluxCorrGraph();
             runGraph(fcorr, options);
         }
 
@@ -659,6 +656,7 @@ EvolutionDriver::stepPacked(bool flux_correction)
 
         comm_cells_ += exchange_.lastWireCells();
         boundary_messages_ += exchange_.lastBoundaryMessages();
+        boundary_entries_ += exchange_.lastBoundaryEntries();
         boundary_bytes_ += exchange_.lastBoundaryBytes();
         if (flux_correction)
             comm_faces_ += mesh_->sharded()
@@ -669,10 +667,9 @@ EvolutionDriver::stepPacked(bool flux_correction)
     package_->fillDerivedPack(*mesh_, pack);
 }
 
-TaskList
-EvolutionDriver::buildBoundsGraph()
+EvolutionDriver::BoundsTaskIds
+EvolutionDriver::addBoundsTasks(TaskList& tl)
 {
-    TaskList tl;
     const TaskId t_start = tl.addTask(
         "StartReceiveBoundBufs",
         [this] {
@@ -680,53 +677,27 @@ EvolutionDriver::buildBoundsGraph()
             return TaskStatus::Complete;
         },
         {}, TaskCategory::Comm);
-    for (MeshBlock* block : mesh_->ownedBlocks())
-        addBoundsTasks(tl, block, t_start);
-    return tl;
-}
-
-TaskList
-EvolutionDriver::buildFluxCorrGraph()
-{
-    // All fluxes are already computed when this graph runs, so the
-    // send/poll pair needs no dependencies.
-    TaskList tl;
-    for (MeshBlock* block : mesh_->ownedBlocks())
-        addFluxCorrTasks(tl, block, {});
-    return tl;
-}
-
-EvolutionDriver::FusedBoundsIds
-EvolutionDriver::addFusedBoundsTasks(TaskList& tl)
-{
-    const TaskId t_start = tl.addTask(
-        "StartReceiveBoundBufs",
-        [this] {
-            exchange_.startReceiveBoundBufsFused();
-            return TaskStatus::Complete;
-        },
-        {}, TaskCategory::Comm);
-    FusedBoundsIds ids;
+    BoundsTaskIds ids;
     ids.send = tl.addTask(
         "SendBoundBufs:plan:bounds",
         [this] {
-            exchange_.sendBoundBufsFused();
+            exchange_.sendBoundBufs();
             return TaskStatus::Complete;
         },
         {t_start}, TaskCategory::Comm);
-    // One poll per inbound coalesced message — O(rank pairs), where
-    // the per-face graph polls O(blocks). Self-pair polls depend only
-    // on t_start: the send task has no poll dependencies, so the
-    // executor always reaches it and the polls then complete.
+    // One poll per inbound coalesced message — O(rank pairs), not
+    // O(blocks). Self-pair polls depend only on t_start: the send task
+    // has no poll dependencies, so the executor always reaches it and
+    // the polls then complete.
     std::vector<TaskId> polls;
     const auto& msgs = exchange_.plan().messages(PlanPhase::Bounds);
-    for (int id : exchange_.fusedRecvIds(PlanPhase::Bounds)) {
+    for (int id : exchange_.recvIds(PlanPhase::Bounds)) {
         const PlanMessage* m = &msgs[static_cast<std::size_t>(id)];
         polls.push_back(tl.addTask(
             "ReceiveBoundBufs:plan:bounds:r" + std::to_string(m->src) +
                 ">r" + std::to_string(m->dst),
             [this, m] {
-                return exchange_.pollFusedMessage(*m)
+                return exchange_.pollMessage(*m)
                            ? TaskStatus::Complete
                            : TaskStatus::Iterate;
             },
@@ -735,9 +706,9 @@ EvolutionDriver::addFusedBoundsTasks(TaskList& tl)
     ids.set = tl.addTask(
         "SetBounds:plan:bounds",
         [this] {
-            exchange_.setBoundsFused();
-            // Physical fills run after ALL unpacks, preserving each
-            // block's per-face order (unpack, then fill).
+            exchange_.setBounds();
+            // Physical fills run after ALL unpacks: a block's ghosts
+            // are unpacked first, then filled at physical faces.
             for (MeshBlock* block : mesh_->ownedBlocks())
                 exchange_.applyPhysicalBoundariesBlock(*block);
             return TaskStatus::Complete;
@@ -747,25 +718,24 @@ EvolutionDriver::addFusedBoundsTasks(TaskList& tl)
 }
 
 TaskId
-EvolutionDriver::addFusedFluxCorrTasks(TaskList& tl,
-                                       std::vector<TaskId> deps)
+EvolutionDriver::addFluxCorrTasks(TaskList& tl, std::vector<TaskId> deps)
 {
     const TaskId t_fsend = tl.addTask(
         "FluxCorrSend:plan:flux",
         [this] {
-            exchange_.sendFluxCorrectionsFused();
+            exchange_.sendFluxCorrections();
             return TaskStatus::Complete;
         },
         std::move(deps), TaskCategory::Comm);
     std::vector<TaskId> apply_deps{t_fsend};
     const auto& msgs = exchange_.plan().messages(PlanPhase::Flux);
-    for (int id : exchange_.fusedRecvIds(PlanPhase::Flux)) {
+    for (int id : exchange_.recvIds(PlanPhase::Flux)) {
         const PlanMessage* m = &msgs[static_cast<std::size_t>(id)];
         apply_deps.push_back(tl.addTask(
             "FluxCorrRecv:plan:flux:r" + std::to_string(m->src) +
                 ">r" + std::to_string(m->dst),
             [this, m] {
-                return exchange_.pollFusedMessage(*m)
+                return exchange_.pollMessage(*m)
                            ? TaskStatus::Complete
                            : TaskStatus::Iterate;
             },
@@ -774,30 +744,34 @@ EvolutionDriver::addFusedFluxCorrTasks(TaskList& tl,
     return tl.addTask(
         "FluxCorrApply:plan:flux",
         [this] {
-            exchange_.setFluxCorrectionsFused();
+            exchange_.setFluxCorrections();
             return TaskStatus::Complete;
         },
         std::move(apply_deps), TaskCategory::Comm);
 }
 
 /**
- * One RK stage over the boundary plan: the comm side of the graph
- * collapses from O(blocks x faces) tasks to O(rank pairs) — one fused
- * send, one poll per inbound coalesced message, one fused set — while
- * the per-block compute chain is unchanged. The tradeoff mirrors
- * pack_interior: per-block receive/compute overlap is traded for one
- * launch (and one message) per phase per rank pair.
+ * One RK stage as a task graph (paper §II-C). The comm side runs over
+ * the boundary plan — one send launch, one poll per inbound coalesced
+ * message, one set launch: O(rank pairs) tasks, not O(blocks x faces)
+ * — while the compute side is a per-block flux / divergence / update
+ * chain. Compute tasks for distinct blocks only touch their own
+ * block's data, which is what makes threaded execution bitwise
+ * identical to the serial scan.
  */
 TaskList
-EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
+EvolutionDriver::buildStageGraph(int stage, bool flux_correction)
 {
     // Serial point: if the rebuild hook fired, the plan rebuild
     // happens here, before any task can read the tables.
     exchange_.plan().ensureBuilt();
     TaskList tl;
     tl.setLabel("plan:bounds+flux stage " + std::to_string(stage));
-    const FusedBoundsIds bounds = addFusedBoundsTasks(tl);
+    const BoundsTaskIds bounds = addBoundsTasks(tl);
 
+    // The §VIII-B memory optimization shares reconstruction scratch
+    // across blocks; under a threaded executor the flux tasks must
+    // then run one at a time.
     const bool serialize_flux =
         mesh_->config().optimizeAuxMemory &&
         mesh_->ctx().space().concurrency() > 1;
@@ -821,12 +795,11 @@ EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
         flux_tasks.push_back(t_flux);
     }
 
-    // The fused correction gates every divergence: corrections only
-    // flow once all fluxes exist, exactly as the per-face path orders
-    // each block's send before its apply.
+    // The correction gates every divergence: corrections only flow
+    // once all fluxes exist.
     TaskId t_fapply = -1;
     if (flux_correction)
-        t_fapply = addFusedFluxCorrTasks(tl, flux_tasks);
+        t_fapply = addFluxCorrTasks(tl, flux_tasks);
 
     for (std::size_t b = 0; b < owned.size(); ++b) {
         MeshBlock* block = owned[b];
@@ -838,8 +811,8 @@ EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
                 return TaskStatus::Complete;
             },
             {flux_correction ? t_fapply : flux_tasks[b]});
-        // As in the per-face graph: the update rewrites the interior
-        // the fused send reads, so it must trail the send task.
+        // The update rewrites the interior the send launch reads, so
+        // it must trail the send task.
         tl.addTask(
             "WeightedSumData:" + gid,
             [this, block, stage] {
@@ -852,156 +825,23 @@ EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
 }
 
 TaskList
-EvolutionDriver::buildBoundsGraphFused()
+EvolutionDriver::buildBoundsGraph()
 {
     exchange_.plan().ensureBuilt();
     TaskList tl;
     tl.setLabel("plan:bounds");
-    addFusedBoundsTasks(tl);
+    addBoundsTasks(tl);
     return tl;
 }
 
 TaskList
-EvolutionDriver::buildFluxCorrGraphFused()
+EvolutionDriver::buildFluxCorrGraph()
 {
     exchange_.plan().ensureBuilt();
     TaskList tl;
     tl.setLabel("plan:flux");
-    addFusedFluxCorrTasks(tl, {});
+    addFluxCorrTasks(tl, {});
     return tl;
-}
-
-/**
- * One RK stage as a per-block task graph (paper §II-C): every block
- * contributes its own send / poll / unpack / flux / divergence /
- * update chain, so boundary-receive polling tasks interleave with the
- * interior compute of blocks whose ghosts already arrived. Tasks for
- * distinct blocks only touch their own block's data (sends read the
- * sender's interior, unpacks write the receiver's ghosts), which is
- * what makes threaded execution bitwise identical to the serial scan.
- */
-TaskList
-EvolutionDriver::buildStageGraph(int stage, bool flux_correction)
-{
-    TaskList tl;
-    const TaskId t_start = tl.addTask(
-        "StartReceiveBoundBufs",
-        [this] {
-            exchange_.startReceiveBoundBufs();
-            return TaskStatus::Complete;
-        },
-        {}, TaskCategory::Comm);
-
-    // The §VIII-B memory optimization shares reconstruction scratch
-    // across blocks; under a threaded executor the flux tasks must
-    // then run one at a time.
-    const bool serialize_flux =
-        mesh_->config().optimizeAuxMemory &&
-        mesh_->ctx().space().concurrency() > 1;
-    TaskId prev_flux = -1;
-
-    for (MeshBlock* block : mesh_->ownedBlocks()) {
-        const std::string gid = std::to_string(block->gid());
-        const BoundsTaskIds bounds = addBoundsTasks(tl, block, t_start);
-
-        std::vector<TaskId> flux_deps{bounds.set};
-        if (serialize_flux && prev_flux >= 0)
-            flux_deps.push_back(prev_flux);
-        const TaskId t_flux = tl.addTask(
-            "CalculateFluxes:" + gid,
-            [this, block] {
-                package_->calculateFluxesBlock(*mesh_, *block);
-                return TaskStatus::Complete;
-            },
-            std::move(flux_deps));
-        prev_flux = t_flux;
-
-        TaskId t_prev = t_flux;
-        if (flux_correction)
-            t_prev = addFluxCorrTasks(tl, block, {t_flux});
-        const TaskId t_div = tl.addTask(
-            "FluxDivergence:" + gid,
-            [this, block] {
-                package_->fluxDivergenceBlock(*mesh_, *block);
-                return TaskStatus::Complete;
-            },
-            {t_prev});
-        // The update rewrites the block's interior, which the block's
-        // own send task reads — the t_send edge keeps a slow pack from
-        // racing an overtaking update chain.
-        tl.addTask(
-            "WeightedSumData:" + gid,
-            [this, block, stage] {
-                stageUpdateBlock(*mesh_, *block, stage, dt_);
-                return TaskStatus::Complete;
-            },
-            {t_div, bounds.send});
-    }
-    return tl;
-}
-
-EvolutionDriver::BoundsTaskIds
-EvolutionDriver::addBoundsTasks(TaskList& tl, MeshBlock* block,
-                                TaskId t_start)
-{
-    const std::string gid = std::to_string(block->gid());
-    BoundsTaskIds ids;
-    // Sends read only the sender's interior and unpacks write only
-    // the receiver's ghosts, so SetBounds needs no edge to the
-    // block's own send task — the receive poll alone gates it.
-    ids.send = tl.addTask(
-        "SendBoundBufs:" + gid,
-        [this, block] {
-            exchange_.sendBlockBounds(*block);
-            return TaskStatus::Complete;
-        },
-        {t_start}, TaskCategory::Comm);
-    ids.poll = tl.addTask(
-        "ReceiveBoundBufs:" + gid,
-        [this, block] {
-            return exchange_.pollBlockBounds(*block)
-                       ? TaskStatus::Complete
-                       : TaskStatus::Iterate;
-        },
-        {t_start}, TaskCategory::Comm);
-    ids.set = tl.addTask(
-        "SetBounds:" + gid,
-        [this, block] {
-            exchange_.setBlockBounds(*block);
-            exchange_.applyPhysicalBoundariesBlock(*block);
-            return TaskStatus::Complete;
-        },
-        {ids.poll}, TaskCategory::Comm);
-    return ids;
-}
-
-TaskId
-EvolutionDriver::addFluxCorrTasks(TaskList& tl, MeshBlock* block,
-                                  std::vector<TaskId> deps)
-{
-    const std::string gid = std::to_string(block->gid());
-    const TaskId t_fsend = tl.addTask(
-        "FluxCorrSend:" + gid,
-        [this, block] {
-            exchange_.sendBlockFluxCorrections(*block);
-            return TaskStatus::Complete;
-        },
-        deps, TaskCategory::Comm);
-    const TaskId t_fpoll = tl.addTask(
-        "FluxCorrRecv:" + gid,
-        [this, block] {
-            return exchange_.pollBlockFluxCorrections(*block)
-                       ? TaskStatus::Complete
-                       : TaskStatus::Iterate;
-        },
-        std::move(deps), TaskCategory::Comm);
-    return tl.addTask(
-        "FluxCorrApply:" + gid,
-        [this, block] {
-            exchange_.setBlockFluxCorrections(*block);
-            return TaskStatus::Complete;
-        },
-        {t_fsend, t_fpoll}, TaskCategory::Comm);
 }
 
 RefinementFlagMap

@@ -114,12 +114,16 @@ struct CycleStats
     /**
      * Boundary messages sent this cycle (bounds + flux corrections,
      * local and remote; block migration excluded) and their modeled
-     * payload bytes. Under the fused boundary plan the message count
-     * drops from O(blocks x faces) to O(rank pairs) per phase while
-     * the bytes stay identical — the benches report both per cycle.
+     * payload bytes. The boundary plan coalesces messages to
+     * O(rank pairs) per phase; the benches report both per cycle.
      */
     std::uint64_t boundaryMessages = 0;
     double boundaryBytes = 0;
+    /**
+     * Plan entries those messages carried: one per face channel, i.e.
+     * the message count the exchange would pay without coalescing.
+     */
+    std::uint64_t boundaryEntries = 0;
     double mass = 0;                ///< History output (numeric mode).
     /**
      * Wall seconds this cycle spent capturing a checkpoint snapshot
@@ -272,54 +276,32 @@ class EvolutionDriver
     /** Per-stage fused path: comm task graphs + pack launches. */
     void stepPacked(bool flux_correction);
     MeshBlockPack& ensurePack();
-    /** Ids of one block's ghost-bounds task trio. */
+    /** Ids of the ghost-bounds task chain. */
     struct BoundsTaskIds
-    {
-        TaskId send = -1, poll = -1, set = -1;
-    };
-    /**
-     * Add one block's send/poll/set ghost-bounds trio gated on
-     * `t_start`. Shared by the per-block stage graph and the packed
-     * bounds-only graph so the two paths cannot diverge.
-     */
-    BoundsTaskIds addBoundsTasks(TaskList& tl, MeshBlock* block,
-                                 TaskId t_start);
-    /**
-     * Add one block's flux-correction send/poll/apply trio; send and
-     * poll take `deps` (the block's flux task in graph mode, nothing
-     * in packed mode). Returns the apply task id.
-     */
-    TaskId addFluxCorrTasks(TaskList& tl, MeshBlock* block,
-                            std::vector<TaskId> deps);
-    TaskList buildStageGraph(int stage, bool flux_correction);
-    /** Ghost-bounds-only task graph (send/poll/set per block). */
-    TaskList buildBoundsGraph();
-    /** Flux-correction-only task graph (send/poll/apply per block). */
-    TaskList buildFluxCorrGraph();
-
-    /** Ids of the fused (boundary-plan) ghost-bounds task chain. */
-    struct FusedBoundsIds
     {
         TaskId send = -1, set = -1;
     };
     /**
-     * Add the fused bounds chain: start -> one fused send -> one poll
-     * per inbound coalesced message -> one fused set. O(rank pairs)
+     * Add the ghost-bounds chain: start -> one send launch -> one poll
+     * per inbound coalesced message -> one set launch. O(rank pairs)
      * tasks per phase instead of O(blocks). Requires a current plan
-     * (the fused builders call ensureBuilt() first, at a serial point).
+     * (the graph builders call ensureBuilt() first, at a serial point).
+     * Shared by the stage graph and the packed bounds-only graph so the
+     * two cannot diverge.
      */
-    FusedBoundsIds addFusedBoundsTasks(TaskList& tl);
+    BoundsTaskIds addBoundsTasks(TaskList& tl);
     /**
-     * Add the fused flux-correction chain gated on `deps`; returns the
-     * apply task id.
+     * Add the flux-correction chain (send, polls, apply) gated on
+     * `deps` (the flux tasks in graph mode, nothing in packed mode);
+     * returns the apply task id.
      */
-    TaskId addFusedFluxCorrTasks(TaskList& tl, std::vector<TaskId> deps);
-    /** Fused-path counterpart of buildStageGraph. */
-    TaskList buildStageGraphFused(int stage, bool flux_correction);
-    /** Fused-path counterpart of buildBoundsGraph. */
-    TaskList buildBoundsGraphFused();
-    /** Fused-path counterpart of buildFluxCorrGraph. */
-    TaskList buildFluxCorrGraphFused();
+    TaskId addFluxCorrTasks(TaskList& tl, std::vector<TaskId> deps);
+    /** One RK stage: plan comm tasks + per-block compute chain. */
+    TaskList buildStageGraph(int stage, bool flux_correction);
+    /** Ghost-bounds-only task graph (packed interior mode). */
+    TaskList buildBoundsGraph();
+    /** Flux-correction-only task graph (packed interior mode). */
+    TaskList buildFluxCorrGraph();
     /** Execution options for stage graphs (space + peer-wait policy). */
     TaskExecOptions stageExecOptions() const;
     /**
@@ -391,6 +373,7 @@ class EvolutionDriver
     std::int64_t comm_cells_ = 0;
     std::int64_t comm_faces_ = 0;
     std::uint64_t boundary_messages_ = 0;
+    std::uint64_t boundary_entries_ = 0;
     double boundary_bytes_ = 0;
     double task_wall_seconds_ = 0;
     double task_comm_seconds_ = 0;

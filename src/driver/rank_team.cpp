@@ -189,6 +189,7 @@ RankTeam::aggregatedHistory() const
             history[c].wireCells += other[c].wireCells;
             history[c].wireFaces += other[c].wireFaces;
             history[c].boundaryMessages += other[c].boundaryMessages;
+            history[c].boundaryEntries += other[c].boundaryEntries;
             history[c].boundaryBytes += other[c].boundaryBytes;
         }
     }

@@ -34,13 +34,16 @@ crc32Table()
 
 } // namespace detail
 
-/** CRC-32 of `size` bytes at `data`. */
+/**
+ * CRC-32 of `size` bytes at `data`. Pass a previous result as `crc` to
+ * continue it: crc32(b, nb, crc32(a, na)) equals the CRC of a then b.
+ */
 inline std::uint32_t
-crc32(const void* data, std::size_t size)
+crc32(const void* data, std::size_t size, std::uint32_t crc = 0)
 {
     const auto& table = detail::crc32Table();
     const auto* bytes = static_cast<const std::uint8_t*>(data);
-    std::uint32_t crc = 0xffffffffu;
+    crc ^= 0xffffffffu;
     for (std::size_t i = 0; i < size; ++i)
         crc = table[(crc ^ bytes[i]) & 0xffu] ^ (crc >> 8);
     return crc ^ 0xffffffffu;

@@ -84,13 +84,18 @@ struct TraceEvent
 
 namespace detail {
 
-/** Truncating copy into a fixed char field (always NUL-terminated). */
+/**
+ * Truncating copy into a fixed char field (always NUL-terminated). An
+ * empty view may carry a null data() (a defaulted string_view), which
+ * memcpy must never see, even for a zero-byte copy.
+ */
 template <std::size_t N>
 inline void
 copyField(char (&dst)[N], std::string_view src)
 {
     const std::size_t n = src.size() < N - 1 ? src.size() : N - 1;
-    std::memcpy(dst, src.data(), n);
+    if (n > 0)
+        std::memcpy(dst, src.data(), n);
     dst[n] = '\0';
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file shard_harness.hpp
- * Shared workload + capture/compare harness for the rank-shard and
- * boundary-plan equivalence tests.
+ * Shared workload + capture/compare harness for the rank-shard,
+ * boundary-plan and golden-digest equivalence tests.
  *
  * The workload (16^3 mesh, 8^3 blocks, 2 levels, an off-center fast
  * moving shell) refines AND derefines within a few cycles (mid-run
@@ -10,9 +10,9 @@
  * exercises cache rebuilds, plan invalidation, and true storage
  * movement, not just steady-state exchange.
  *
- * The boundary path defaults to the CI matrix's VIBE_FUSED_BOUNDARIES
- * (fused when unset); tests that sweep per-face vs fused pass the
- * knob explicitly.
+ * consDigest() reduces a run's final conserved state to one CRC-32 —
+ * the golden-digest oracle that pins the state across packages, rank
+ * counts and thread counts against recorded constants.
  */
 #pragma once
 
@@ -31,14 +31,14 @@
 #include "exec/execution_space.hpp"
 #include "exec/kernel_profiler.hpp"
 #include "exec/memory_tracker.hpp"
+#include "io/crc32.hpp"
 #include "pkg/package_registry.hpp"
 
 namespace vibe {
 namespace shard_test {
 
 inline MeshConfig
-shardMeshConfig(int num_ranks, int num_threads, bool pack_interior,
-                bool fused = envFusedBoundaries(true))
+shardMeshConfig(int num_ranks, int num_threads, bool pack_interior)
 {
     MeshConfig config;
     config.nx1 = config.nx2 = config.nx3 = 16;
@@ -47,7 +47,6 @@ shardMeshConfig(int num_ranks, int num_threads, bool pack_interior,
     config.numThreads = num_threads;
     config.numRanks = num_ranks;
     config.packInterior = pack_interior;
-    config.fusedBoundaries = fused;
     return config;
 }
 
@@ -69,8 +68,8 @@ shardDriverConfig(int lb_every = 1)
     config.ncycles = 8;
     config.derefineGap = 2;
     config.lbEvery = lb_every;
-    // Like the boundary path, the cost source sweeps with the CI
-    // matrix: mesh state must be bitwise identical either way.
+    // The cost source sweeps with the CI matrix: mesh state must be
+    // bitwise identical either way.
     config.lbCost = envLbCostMode(LbCostMode::Uniform);
     return config;
 }
@@ -121,8 +120,7 @@ captureBlock(const MeshBlock& block, ShardRun* out)
 /** Classic single-driver run (the 1-rank baseline). */
 inline ShardRun
 runClassic(const std::string& package_name, int num_threads,
-           int lb_every = 1, bool pack_interior = false,
-           bool fused = envFusedBoundaries(true))
+           int lb_every = 1, bool pack_interior = false)
 {
     auto package = makePackage(package_name);
     VariableRegistry registry = package->buildRegistry();
@@ -130,8 +128,8 @@ runClassic(const std::string& package_name, int num_threads,
     MemoryTracker tracker;
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(num_threads));
-    Mesh mesh(shardMeshConfig(1, num_threads, pack_interior, fused),
-              registry, ctx);
+    Mesh mesh(shardMeshConfig(1, num_threads, pack_interior), registry,
+              ctx);
     RankWorld world(1);
     SphericalWaveTagger tagger(shardWaveParams());
     EvolutionDriver driver(mesh, *package, world, tagger,
@@ -149,17 +147,16 @@ runClassic(const std::string& package_name, int num_threads,
 /** Rank-team run; state gathered from each block's owner replica. */
 inline ShardRun
 runTeam(const std::string& package_name, int num_ranks, int num_threads,
-        int lb_every = 1, bool pack_interior = false,
-        bool fused = envFusedBoundaries(true))
+        int lb_every = 1, bool pack_interior = false)
 {
     auto package = makePackage(package_name);
     VariableRegistry registry = package->buildRegistry();
-    RankTeam team(
-        shardMeshConfig(num_ranks, num_threads, pack_interior, fused),
-        registry, *package, shardDriverConfig(lb_every), [](int) {
-            return std::make_unique<SphericalWaveTagger>(
-                shardWaveParams());
-        });
+    RankTeam team(shardMeshConfig(num_ranks, num_threads, pack_interior),
+                  registry, *package, shardDriverConfig(lb_every),
+                  [](int) {
+                      return std::make_unique<SphericalWaveTagger>(
+                          shardWaveParams());
+                  });
     team.run();
 
     ShardRun out;
@@ -196,6 +193,19 @@ runTeam(const std::string& package_name, int num_ranks, int num_threads,
         captureBlock(*owned, &out);
     }
     return out;
+}
+
+/**
+ * CRC-32 over every block's `cons` (ghosts included) in gid order: one
+ * number that changes if any conserved value anywhere changes by a bit.
+ */
+inline std::uint32_t
+consDigest(const ShardRun& run)
+{
+    std::uint32_t crc = 0;
+    for (const std::vector<double>& cons : run.cons)
+        crc = io::crc32(cons.data(), cons.size() * sizeof(double), crc);
+    return crc;
 }
 
 inline void

@@ -1,6 +1,7 @@
 /**
  * @file test_boundary_plan.cpp
- * BoundaryPlan lifecycle and fused-path equivalence.
+ * BoundaryPlan lifecycle, message directory, and the golden state
+ * digests that pin the boundary path's results.
  *
  * - Lifecycle: the cache rebuild hook invalidates the plan exactly
  *   once per rebuild (refine/derefine/migration all route through the
@@ -11,12 +12,14 @@
  * - Elision: rank pairs that share no boundary get no PlanMessage at
  *   all; the offset directory of a real message tiles its payload
  *   exactly.
- * - Equivalence: the fused path is bitwise identical to the per-face
- *   path for both physics packages across 1/2/4 threads and 1/2/4
- *   ranks, through mid-run remeshes and real storage migrations.
+ * - Golden digests: a CRC-32 over the final conserved state of every
+ *   package matches a recorded constant at 1/2/4 ranks x 1/2 threads,
+ *   through mid-run remeshes and real storage migrations.
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -103,8 +106,7 @@ TEST(BoundaryPlanLifecycle, DriverKeepsPlanInLockstepThroughRemesh)
     MemoryTracker tracker;
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(1));
-    Mesh mesh(shardMeshConfig(1, 1, false, /*fused=*/true), registry,
-              ctx);
+    Mesh mesh(shardMeshConfig(1, 1, false), registry, ctx);
     RankWorld world(1);
     SphericalWaveTagger tagger(shardWaveParams());
     EvolutionDriver driver(mesh, *package, world, tagger,
@@ -197,50 +199,78 @@ TEST(BoundaryPlanDirectory, NonAdjacentRankPairsAreElided)
     EXPECT_EQ(fx.plan.recvIds(PlanPhase::Bounds, 2).size(), 2u);
 }
 
-// --- Fused vs per-face bitwise equivalence ----------------------------
+// --- Golden state digests ---------------------------------------------
 
-class FusedBoundaryEquivalence
-    : public ::testing::TestWithParam<const char*>
+struct GoldenDigest
+{
+    const char* package;
+    std::uint32_t cons;
+};
+
+std::string
+hex(std::uint32_t value)
+{
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "0x%08x", value);
+    return buf;
+}
+
+class GoldenStateDigest : public ::testing::TestWithParam<GoldenDigest>
 {
 };
 
-TEST_P(FusedBoundaryEquivalence, FusedMatchesPerFaceBitwise)
+TEST_P(GoldenStateDigest, MatchesRecordedConstantAtEveryRankAndThreadCount)
 {
-    const std::string package = GetParam();
-    // The per-face baseline is per thread count (mass partials are
-    // chunk-ordered sums, deterministic for a fixed thread count);
-    // the fused path — classic and rank-sharded — must add no
-    // difference on top of it.
-    for (int threads : {1, 2, 4}) {
-        const ShardRun per_face =
-            runClassic(package, threads, 1, false, /*fused=*/false);
-        EXPECT_GT(per_face.remeshEvents, 0)
-            << "workload must remesh mid-run";
-
-        const ShardRun fused =
-            runClassic(package, threads, 1, false, /*fused=*/true);
-        expectBitwiseEqual(per_face, fused,
-                           package + " fused classic @" +
-                               std::to_string(threads) + " threads");
-
-        for (int ranks : {2, 4}) {
-            const ShardRun team = runTeam(package, ranks, threads, 1,
-                                          false, /*fused=*/true);
+    // The constants were recorded from both boundary implementations
+    // before the per-face exchange was retired — the per-face and the
+    // coalesced BoundaryPlan path produced these exact digests in
+    // every cell of this matrix, under uniform and measured
+    // load-balance costs alike. The final conserved state does not
+    // depend on rank or thread count, so one digest per package covers
+    // the whole matrix. (The mass history is a chunk-ordered sum and
+    // varies with thread count by design; it is not digested.)
+    const GoldenDigest golden = GetParam();
+    for (int ranks : {1, 2, 4})
+        for (int threads : {1, 2}) {
+            const ShardRun run =
+                ranks == 1 ? runClassic(golden.package, threads)
+                           : runTeam(golden.package, ranks, threads);
+            const std::string cell = std::string(golden.package) + " @" +
+                                     std::to_string(ranks) + " ranks x " +
+                                     std::to_string(threads) + " threads";
             // The runs must exercise the real machinery: remesh-driven
-            // plan rebuilds and true storage migration.
-            EXPECT_GT(team.remeshEvents, 0);
-            EXPECT_GT(team.movedBlocks, 0);
-            expectBitwiseEqual(per_face, team,
-                               package + " fused @" +
-                                   std::to_string(ranks) + " ranks x " +
-                                   std::to_string(threads) +
-                                   " threads vs per-face classic");
+            // plan rebuilds and, on a team, true storage migration.
+            EXPECT_GT(run.remeshEvents, 0) << cell;
+            if (ranks > 1)
+                EXPECT_GT(run.movedBlocks, 0) << cell;
+            EXPECT_EQ(hex(consDigest(run)), hex(golden.cons)) << cell;
         }
-    }
 }
 
-INSTANTIATE_TEST_SUITE_P(Packages, FusedBoundaryEquivalence,
-                         ::testing::Values("burgers", "advection"));
+INSTANTIATE_TEST_SUITE_P(
+    Packages, GoldenStateDigest,
+    ::testing::Values(GoldenDigest{"burgers", 0x3c6e77d5u},
+                      GoldenDigest{"advection", 0xd11ad9f6u},
+                      GoldenDigest{"reaction", 0x217b42b6u}),
+    [](const ::testing::TestParamInfo<GoldenDigest>& info) {
+        return std::string(info.param.package);
+    });
+
+TEST(GoldenStateDigest, ChainedCrcMatchesOneShot)
+{
+    // consDigest chains one CRC per block; that must equal the CRC of
+    // the concatenated state.
+    const std::vector<double> a{1.0, -2.5, 3.25};
+    const std::vector<double> b{4.0, 0.0};
+    std::vector<double> ab = a;
+    ab.insert(ab.end(), b.begin(), b.end());
+    const std::uint32_t chained =
+        io::crc32(b.data(), b.size() * sizeof(double),
+                  io::crc32(a.data(), a.size() * sizeof(double)));
+    EXPECT_EQ(chained, io::crc32(ab.data(), ab.size() * sizeof(double)));
+    // The standard CRC-32 check value.
+    EXPECT_EQ(io::crc32("123456789", 9), 0xcbf43926u);
+}
 
 } // namespace
 } // namespace vibe

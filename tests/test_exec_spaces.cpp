@@ -230,8 +230,8 @@ TEST(MeshConfig, NumThreadsKnob)
 // serial run exactly — same block structure, bit-identical conserved
 // variables, identical timestep history and profiler totals. Since the
 // task-graph driver, this covers the full asynchronous stage graph:
-// per-block sends, polling receive tasks, unpacks, flux correction and
-// updates all dispatched concurrently on the ThreadPoolSpace.
+// boundary sends, polling receive tasks, unpacks, flux correction and
+// per-block updates all dispatched concurrently on the ThreadPoolSpace.
 // ---------------------------------------------------------------------
 
 struct RippleRun

@@ -46,6 +46,16 @@ operator new(std::size_t size)
     throw std::bad_alloc();
 }
 
+// The nothrow form must allocate from the same heap the replaced
+// deletes free to (std::stable_sort's temporary buffer uses it);
+// otherwise ASan reports an operator new vs free mismatch.
+void*
+operator new(std::size_t size, const std::nothrow_t&) noexcept
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
+}
+
 void
 operator delete(void* p) noexcept
 {
@@ -126,6 +136,25 @@ TEST(TraceRecorder, RecordsAndDrainsSorted)
 
     // Drained: a second drain is empty.
     EXPECT_TRUE(recorder.drain().empty());
+}
+
+TEST(TraceRecorder, EmptyNameAndPhaseViewsRecordEmptyFields)
+{
+    // A defaulted string_view has a null data(); the field copy must
+    // not hand that pointer to memcpy (UBSan's nonnull-attribute check
+    // flags it even for a zero-byte copy).
+    TraceRecorder& recorder = TraceRecorder::instance();
+    recorder.start();
+    {
+        TraceSpan span(std::string_view{}, TraceCat::Driver, 0, 1);
+    }
+    traceInstant(std::string_view{}, TraceCat::Driver, 0, 1);
+    const std::vector<TraceEvent> events = recorder.drain();
+    ASSERT_EQ(events.size(), 2u);
+    for (const TraceEvent& event : events) {
+        EXPECT_TRUE(event.nameView().empty());
+        EXPECT_TRUE(event.phaseView().empty());
+    }
 }
 
 TEST(TraceRecorder, DisabledSitesRecordNothing)

@@ -401,6 +401,19 @@ TEST(ParameterInput, UnknownKnobInRecognizedBlockIsFatal)
         EXPECT_NE(what.find("nx_1"), std::string::npos) << what;
         EXPECT_NE(what.find("<mesh>"), std::string::npos) << what;
     }
+    // A retired knob is rejected like a typo: a stale deck naming the
+    // removed boundary-path switch fails at parse, and the error lists
+    // the knobs that do exist.
+    try {
+        ParameterInput::fromString("<exec>\nfused_boundaries = true\n");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError& err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("fused_boundaries"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("known knobs"), std::string::npos) << what;
+        EXPECT_NE(what.find("pack_interior"), std::string::npos) << what;
+    }
     // Package blocks are validated too.
     EXPECT_THROW(
         ParameterInput::fromString("<advection>\nvelocity_x = 1\n"),

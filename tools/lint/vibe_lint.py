@@ -143,7 +143,7 @@ RULES = [
             "BoundaryPlan / GhostExchange paths)"
         ),
         rationale=(
-            "The fused BoundaryPlan path guarantees all boundary "
+            "The BoundaryPlan guarantees all boundary "
             "traffic per (src, dst, phase) travels as ONE coalesced "
             "message whose offset directory both endpoints derive "
             "independently; a stray per-face isend elsewhere would "
